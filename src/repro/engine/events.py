@@ -318,6 +318,20 @@ class SpecReloaded(EngineEvent):
 
 
 @dataclass(frozen=True)
+class InternalError(EngineEvent):
+    """Emitted when the server catches an exception it survives by design.
+
+    The serving tier keeps running past a bad worker message, a raising
+    shadow observer or a raising shadow sampler -- but never silently: each
+    such catch emits one of these, which ``/metrics`` counts as
+    ``repro_internal_errors_total{site=...}`` and a journal records.
+    """
+
+    site: str
+    error: str
+
+
+@dataclass(frozen=True)
 class CampaignStarted(EngineEvent):
     """Emitted when the control plane starts one scheduled fuzz campaign."""
 
@@ -577,6 +591,8 @@ def _format_event(event: EngineEvent) -> Optional[str]:
         )
     if isinstance(event, SpecReloaded):
         return f"spec reloaded: {event.previous_spec_id} -> {event.spec_id}"
+    if isinstance(event, InternalError):
+        return f"internal error at {event.site}: {event.error}"
     if isinstance(event, CampaignStarted):
         return (
             f"campaign {event.cycle} started: spec {event.spec_id}, "
@@ -656,6 +672,7 @@ __all__ = [
     "dropped_event_count",
     "FuzzFinished",
     "FuzzStarted",
+    "InternalError",
     "MethodRelearned",
     "NullSink",
     "ProgramChecked",

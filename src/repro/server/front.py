@@ -1,13 +1,38 @@
-"""The asyncio front door of the sharded, multi-process serving tier.
+"""The asyncio HTTP front door of the analysis daemon.
 
-:class:`ShardedAnalysisServer` is the multi-process counterpart of
-:class:`~repro.server.http.AnalysisServer`: the same four endpoints, the
-same status mapping, the same ``X-Repro-Trace-Id`` / ``Server-Timing``
-headers, the same hot-reload and shadow-canary semantics -- but requests are
-accepted by a single-threaded asyncio event loop (stdlib streams, manual
-HTTP/1.1 framing, keep-alive) and analyzed by a
-:class:`~repro.server.procpool.ProcessWorkerPool` of pre-forked worker
-processes, so throughput scales with cores instead of capping at one GIL.
+:class:`ShardedAnalysisServer` accepts requests on a single-threaded asyncio
+event loop (stdlib streams, manual HTTP/1.1 framing, keep-alive) and has
+them analyzed by a :class:`~repro.server.procpool.ProcessWorkerPool` of
+pre-forked worker processes, so throughput scales with cores instead of
+capping at one GIL:
+
+========  ===========  ====================================================
+method    path         body
+========  ===========  ====================================================
+``POST``  /analyze     :class:`~repro.service.api.AnalyzeRequest` JSON in,
+                       :class:`~repro.service.api.AnalyzeResponse` JSON out
+``GET``   /healthz     liveness (``degraded`` while a worker respawns) +
+                       the spec id currently being served
+``GET``   /specs       the store listing (one record per stored version)
+``GET``   /metrics     :meth:`~repro.server.metrics.ServerMetrics.snapshot`
+                       as JSON; ``?format=prometheus`` renders the registry
+                       as Prometheus text exposition instead
+========  ===========  ====================================================
+
+Every ``/analyze`` response carries an ``X-Repro-Trace-Id`` header (the root
+span of the request's trace -- client-supplied via the same request header,
+or freshly minted) and, on success, a ``Server-Timing`` header breaking the
+request into queue wait and analysis phases.
+
+Status mapping for ``/analyze``: ``200`` on success, ``400`` for malformed
+JSON / an unsupported ``format`` version / unknown app names / a
+``workers > 1`` fan-out (a one-shot ``repro analyze`` option: the daemon
+never forks per request), ``404`` for a spec id the store does not hold,
+``503`` + ``Retry-After`` when the bounded queue or the admission limit is
+full or the request's worker died (see
+:class:`~repro.server.procpool.PoolUnavailable`), ``500`` for unexpected
+analysis failures.  Every ``/analyze`` outcome is folded into the shared
+metrics.
 
 Two request-shaping layers live in the front door itself, above the pool's
 bounded queue:
@@ -55,30 +80,61 @@ from repro.engine.events import EventSink, FanOutSink
 from repro.obs import trace as _trace
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.obs.trace import SpanFinished, TraceContext
-from repro.server.http import (
-    DEFAULT_HOST,
-    DEFAULT_POLL_INTERVAL_SECONDS,
-    DEFAULT_PORT,
-    spec_status,
-)
 from repro.server.metrics import MetricsSink, ServerMetrics
-from repro.server.pool import DEFAULT_QUEUE_DEPTH, PoolSaturated
-from repro.server.procpool import ProcessWorkerPool
+from repro.server.procpool import DEFAULT_QUEUE_DEPTH, PoolUnavailable, ProcessWorkerPool
 from repro.service.api import (
     AnalyzeRequest,
     UnknownAppsError,
     canonical_request_key,
 )
-from repro.service.store import SpecNotFoundError, SpecStore
+from repro.service.store import (
+    STATE_CANDIDATE,
+    SpecNotFoundError,
+    SpecStore,
+    SpecStoreError,
+)
 
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8080
+DEFAULT_POLL_INTERVAL_SECONDS = 2.0
 JSON_CONTENT_TYPE = "application/json"
 
 #: (status, body bytes, extra headers, content type) -- one rendered response
 _Rendered = Tuple[int, bytes, Dict[str, str], str]
 
 
+def spec_status(pool, store: SpecStore) -> dict:
+    """Lifecycle view of the store as seen from what *pool* serves.
+
+    The active spec (id, version, lineage depth) and any candidates awaiting
+    a canary verdict for the same library -- shared by ``/healthz``,
+    ``/specs``, and ``/metrics`` so the three report identically.
+    """
+    current = pool.current_spec_id
+    states = store.states()
+    candidates = [
+        record.spec_id
+        for record in store.list(fingerprint=pool.fingerprint)
+        if states.get(record.spec_id) == STATE_CANDIDATE
+    ]
+    active_version: Optional[int] = None
+    lineage_depth: Optional[int] = None
+    if current is not None:
+        try:
+            active_version = store.record(current).version
+            lineage_depth = store.lineage_depth(current)
+        except SpecStoreError:
+            pass  # the served spec predates this index (or store moved)
+    return {
+        "active_spec_id": current,
+        "active_version": active_version,
+        "lineage_depth": lineage_depth,
+        "candidate_spec_ids": candidates,
+    }
+
+
 def _render_json(status: int, payload) -> bytes:
-    """Match the threaded server byte for byte: compact 200s, readable errors."""
+    """Machine-consumed 200s are compact; error bodies stay readable."""
     rendered = (
         json.dumps(payload, separators=(",", ":"))
         if status == 200
@@ -125,8 +181,6 @@ class ShardedAnalysisServer:
         metrics: Optional[ServerMetrics] = None,
         library_program=None,
         admission_limit: Optional[int] = None,
-        coalesce: bool = True,
-        mp_context: Optional[str] = None,
         solver: Optional[str] = None,
         analysis_cache_dir: Optional[str] = None,
     ):
@@ -145,7 +199,6 @@ class ShardedAnalysisServer:
             queue_depth=queue_depth,
             events=self.events,
             library_program=library_program,
-            mp_context=mp_context,
             solver=solver,
             analysis_cache_dir=analysis_cache_dir,
         )
@@ -156,7 +209,6 @@ class ShardedAnalysisServer:
             if admission_limit is not None
             else queue_depth + 2 * self.pool.processes
         )
-        self.coalesce = coalesce
         self._inflight = 0
         self._leaders: Dict[str, "asyncio.Future[_Rendered]"] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -275,7 +327,7 @@ class ShardedAnalysisServer:
                     length = int(headers.get("content-length", "0") or "0")
                 except ValueError:
                     # an unparseable Content-Length makes the rest of the
-                    # stream unframeable; answer and close, like the threaded tier
+                    # stream unframeable; answer and close
                     await self._write(
                         writer,
                         (400, _render_json(400, {"error": "invalid Content-Length header"}), {}, JSON_CONTENT_TYPE),
@@ -357,7 +409,7 @@ class ShardedAnalysisServer:
             return 200, _render_json(200, snapshot), {}, JSON_CONTENT_TYPE
         if parsed.path == "/healthz":
             payload = {
-                "status": "ok",
+                "status": "ok" if self.pool.live_workers == self.pool.workers else "degraded",
                 "spec_id": self.pool.current_spec_id,
                 "workers": self.pool.workers,
                 "processes": self.pool.processes,
@@ -416,30 +468,32 @@ class ShardedAnalysisServer:
             request = AnalyzeRequest.from_dict(data)
         except (ValueError, TypeError, AttributeError) as error:
             return 400, _render_json(400, {"error": f"bad request: {error}"}), {}, JSON_CONTENT_TYPE
+        if request.workers > 1:
+            error = (
+                f"workers={request.workers}: per-request process fan-out is a one-shot "
+                "`repro analyze --workers` option; the daemon analyzes each request "
+                "on one warm worker process"
+            )
+            return 400, _render_json(400, {"error": f"bad request: {error}"}), {}, JSON_CONTENT_TYPE
 
-        key = (
-            canonical_request_key(request, self.pool.current_spec_id)
-            if self.coalesce
-            else None
-        )
-        if key is not None:
-            leader = self._leaders.get(key)
-            if leader is not None:
-                # follower: no admission slot, no pool submit -- the leader's
-                # bytes are this request's bytes, by determinism
-                self.metrics.record_coalesced()
-                try:
-                    status, payload, extra, content_type = await asyncio.shield(leader)
-                except Exception:  # noqa: BLE001 - leader died; have them retry
-                    return (
-                        503,
-                        _render_json(503, {"error": "coalesced leader failed; retry"}),
-                        {"Retry-After": "0"},
-                        JSON_CONTENT_TYPE,
-                    )
-                extra = dict(extra)
-                extra["X-Repro-Coalesced"] = "1"
-                return status, payload, extra, content_type
+        key = canonical_request_key(request, self.pool.current_spec_id)
+        leader = self._leaders.get(key)
+        if leader is not None:
+            # follower: no admission slot, no pool submit -- the leader's
+            # bytes are this request's bytes, by determinism
+            self.metrics.record_coalesced()
+            try:
+                status, payload, extra, content_type = await asyncio.shield(leader)
+            except Exception:  # noqa: BLE001 - leader died; have them retry
+                return (
+                    503,
+                    _render_json(503, {"error": "coalesced leader failed; retry"}),
+                    {"Retry-After": "0"},
+                    JSON_CONTENT_TYPE,
+                )
+            extra = dict(extra)
+            extra["X-Repro-Coalesced"] = "1"
+            return status, payload, extra, content_type
 
         if self._inflight >= self.admission_limit:
             self.metrics.record_admission_rejected()
@@ -459,10 +513,8 @@ class ShardedAnalysisServer:
                 JSON_CONTENT_TYPE,
             )
 
-        waiter: Optional["asyncio.Future[_Rendered]"] = None
-        if key is not None:
-            waiter = asyncio.get_running_loop().create_future()
-            self._leaders[key] = waiter
+        waiter: "asyncio.Future[_Rendered]" = asyncio.get_running_loop().create_future()
+        self._leaders[key] = waiter
         self._inflight += 1
         rendered: Optional[_Rendered] = None
         try:
@@ -470,35 +522,26 @@ class ShardedAnalysisServer:
             return rendered
         finally:
             self._inflight -= 1
-            if key is not None:
-                self._leaders.pop(key, None)
-                if waiter is not None and not waiter.done():
-                    # resolve even on leader cancellation so followers never
-                    # hang; they see a retryable 503 instead of an exception
-                    waiter.set_result(
-                        rendered
-                        if rendered is not None
-                        else (
-                            503,
-                            _render_json(503, {"error": "coalesced leader cancelled; retry"}),
-                            {"Retry-After": "0"},
-                            JSON_CONTENT_TYPE,
-                        )
+            self._leaders.pop(key, None)
+            if not waiter.done():
+                # resolve even on leader cancellation so followers never
+                # hang; they see a retryable 503 instead of an exception
+                waiter.set_result(
+                    rendered
+                    if rendered is not None
+                    else (
+                        503,
+                        _render_json(503, {"error": "coalesced leader cancelled; retry"}),
+                        {"Retry-After": "0"},
+                        JSON_CONTENT_TYPE,
                     )
+                )
 
     async def _serve_via_pool(self, request: AnalyzeRequest, context: TraceContext) -> _Rendered:
         try:
             future = self.pool.submit(request, context=context)
-        except PoolSaturated as error:
-            return (
-                503,
-                _render_json(
-                    503,
-                    {"error": str(error), "retry_after_seconds": error.retry_after_seconds},
-                ),
-                {"Retry-After": str(error.retry_after_seconds)},
-                JSON_CONTENT_TYPE,
-            )
+        except PoolUnavailable as error:
+            return _retry_later(error)
         except RuntimeError as error:  # pool stopping: shutdown race ends 503
             return (
                 503,
@@ -508,6 +551,8 @@ class ShardedAnalysisServer:
             )
         try:
             response = await asyncio.wrap_future(future)
+        except PoolUnavailable as error:  # its worker died mid-request
+            return _retry_later(error)
         except SpecNotFoundError as error:
             return 404, _render_json(404, {"error": f"unknown spec: {error}"}), {}, JSON_CONTENT_TYPE
         except UnknownAppsError as error:
@@ -522,6 +567,23 @@ class ShardedAnalysisServer:
         )
 
 
+def _retry_later(error: PoolUnavailable) -> _Rendered:
+    """``503`` + ``Retry-After`` for a retriable pool refusal."""
+    return (
+        503,
+        _render_json(
+            503,
+            {"error": str(error), "retry_after_seconds": error.retry_after_seconds},
+        ),
+        {"Retry-After": str(error.retry_after_seconds)},
+        JSON_CONTENT_TYPE,
+    )
+
+
 __all__ = [
+    "DEFAULT_HOST",
+    "DEFAULT_POLL_INTERVAL_SECONDS",
+    "DEFAULT_PORT",
     "ShardedAnalysisServer",
+    "spec_status",
 ]

@@ -1,9 +1,9 @@
 """Thread-safe request metrics for the analysis daemon.
 
-One :class:`ServerMetrics` instance is shared by every handler thread and
-warm worker of an :class:`~repro.server.http.AnalysisServer`; the ``GET
-/metrics`` endpoint renders :meth:`ServerMetrics.snapshot` as JSON (the
-default) or :meth:`ServerMetrics.to_prometheus` as the Prometheus text
+One :class:`ServerMetrics` instance is shared by the front door and the
+worker-result readers of a :class:`~repro.server.front.ShardedAnalysisServer`;
+the ``GET /metrics`` endpoint renders :meth:`ServerMetrics.snapshot` as JSON
+(the default) or :meth:`ServerMetrics.to_prometheus` as the Prometheus text
 exposition (``?format=prometheus``).  Two feeds fill it:
 
 * the HTTP layer records each request's status class and wall-clock latency
@@ -12,7 +12,8 @@ exposition (``?format=prometheus``).  Two feeds fill it:
   counts the engine telemetry the workers emit while analyzing
   (:class:`~repro.engine.events.AnalysisFinished` per program,
   :class:`~repro.engine.events.SpecCompiled` per worker compilation,
-  :class:`~repro.engine.events.SpecReloaded` per hot reload), so the
+  :class:`~repro.engine.events.SpecReloaded` per hot reload,
+  :class:`~repro.engine.events.InternalError` per survived exception), so the
   per-worker compile counters that prove "specs are compiled once per
   worker, not once per request" come from the same event stream every other
   engine consumer uses.  :class:`~repro.obs.trace.SpanFinished` events ride
@@ -46,6 +47,7 @@ from repro.engine.events import (
     CanaryFinished,
     EngineEvent,
     EventSink,
+    InternalError,
     ShadowCompared,
     SpecCompiled,
     SpecPromoted,
@@ -66,8 +68,8 @@ _PERCENTILES = (50.0, 90.0, 99.0)
 class ServerMetrics:
     """Counters and latency percentiles for one daemon instance.
 
-    Every mutator takes the registry lock (or the window lock), so handler
-    threads, worker threads, and the store poller can all write
+    Every mutator takes the registry lock (or the window lock), so the
+    front-door loop, worker-result readers, and the store poller can all write
     concurrently; :meth:`snapshot` returns a plain, JSON-serializable dict.
     """
 
@@ -142,6 +144,11 @@ class ServerMetrics:
         )
         self._workers = reg.gauge("repro_workers", "Warm analysis workers")
         self._uptime = reg.gauge("repro_uptime_seconds", "Daemon uptime at scrape time")
+        self._internal_errors = reg.counter(
+            "repro_internal_errors_total",
+            "Exceptions the server caught and survived, by site",
+            ("site",),
+        )
         self._dropped = reg.counter(
             "repro_obs_dropped_events_total",
             "Telemetry events dropped by misbehaving or broken sinks",
@@ -208,6 +215,8 @@ class ServerMetrics:
             self._promotions.inc()
         elif isinstance(event, SpecRolledBack):
             self._rollbacks.inc()
+        elif isinstance(event, InternalError):
+            self._internal_errors.inc(site=event.site)
 
     # ------------------------------------------------------- derived properties
     @property
@@ -257,6 +266,10 @@ class ServerMetrics:
     @property
     def canaries_by_result(self) -> Dict[str, int]:
         return {key[0]: int(value) for key, value in self._canaries.series().items()}
+
+    @property
+    def internal_errors_by_site(self) -> Dict[str, int]:
+        return {key[0]: int(value) for key, value in self._internal_errors.series().items()}
 
     @property
     def promotions_total(self) -> int:
@@ -325,6 +338,7 @@ class ServerMetrics:
             },
             "canaries": dict(sorted(self.canaries_by_result.items())),
             "solver": self._solver_snapshot(),
+            "internal_errors": dict(sorted(self.internal_errors_by_site.items())),
             "dropped_events": dropped_event_count(),
         }
         queue: Dict = {}

@@ -19,9 +19,10 @@ are deterministic and need no real analysis work.
 """
 
 import json
+import socketserver
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -69,7 +70,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
 
-class _ScriptedServer(ThreadingHTTPServer):
+class _ScriptedServer(socketserver.ThreadingMixIn, HTTPServer):
     daemon_threads = True
     allow_reuse_address = True
 

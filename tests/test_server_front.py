@@ -1,14 +1,17 @@
 """End-to-end tests of the asyncio front door over the process pool.
 
-The contract under test: same endpoints, headers, and status mapping as the
-threaded :class:`~repro.server.http.AnalysisServer`; responses canonically
-identical to in-process ``handle_request``; coalesced followers receive the
-leader's bytes **verbatim**; admission control sheds with 503 +
-``Retry-After`` before the pool is touched.
+The contract under test: responses canonically identical to in-process
+``handle_request``, with trace and ``Server-Timing`` headers; coalesced
+followers receive the leader's bytes **verbatim**; admission control sheds
+with 503 + ``Retry-After`` before the pool is touched; a client cannot make
+a worker fork; a killed worker costs its in-flight request a retriable 503,
+never a hang, and is respawned.
 """
 
 import http.client
 import json
+import os
+import signal
 import threading
 
 import pytest
@@ -177,7 +180,6 @@ def test_admission_control_sheds_at_the_door(tiny_store, library_program):
         processes=1,
         library_program=library_program,
         admission_limit=0,  # every analyze request is shed before the pool
-        coalesce=False,
     )
     with server:
         status, body, retry_after = post_analyze(
@@ -230,3 +232,82 @@ def test_canonical_request_key_tracks_the_corpus_digest():
     # a pinned request keys on its pin, not the currently served spec
     pinned = _request(spec_id="spec-9")
     assert canonical_request_key(pinned, "spec-1") == canonical_request_key(pinned, "spec-2")
+
+
+def test_client_requested_process_fan_out_is_400(front, monkeypatch):
+    """``workers > 1`` would fork a process pool inside a server worker:
+    refused at the door, before admission, without touching the pool."""
+    submitted = []
+    monkeypatch.setattr(front.pool, "submit", lambda *a, **k: submitted.append(a))
+    document = _request().to_dict()
+    document["workers"] = 8
+    status, body, _retry = post_analyze(front.url, json.dumps(document).encode("utf-8"))
+    assert status == 400
+    assert "repro analyze --workers" in body["error"]
+    assert submitted == []
+
+
+def test_killed_worker_costs_one_retriable_503_then_respawns(front, wait_until):
+    """SIGKILL the only worker with a request in flight: that request gets a
+    503 + ``Retry-After`` promptly (never a hang), ``/healthz`` reports
+    ``degraded`` until the replacement has compiled, and then serving resumes
+    -- no permanent ``PoolSaturated`` wedge."""
+    pid = front.pool._workers[0].process.pid
+    payload = json.dumps(_request().to_dict()).encode("utf-8")
+    outcome = []
+    os.kill(pid, signal.SIGSTOP)  # holds the request in flight, deterministically
+    client = threading.Thread(target=lambda: outcome.append(post_analyze(front.url, payload)))
+    client.start()
+    assert wait_until(lambda: front.pool.queue_depth == 1)
+    os.kill(pid, signal.SIGKILL)
+    client.join(timeout=30)
+    assert not client.is_alive(), "the in-flight request hung on a dead worker"
+    status, body, retry_after = outcome[0]
+    assert status == 503 and retry_after is not None
+    assert "proc-0" in body["error"]
+    assert wait_until(lambda: fetch_json(front.url, "/healthz")["status"] == "degraded")
+
+    assert wait_until(lambda: fetch_json(front.url, "/healthz")["status"] == "ok", timeout=60)
+    status, _body, _retry = post_analyze(front.url, payload)
+    assert status == 200
+    assert front.pool._workers[0].process.pid != pid
+    specs = fetch_json(front.url, "/metrics")["specs"]
+    assert specs["compilations_by_worker"] == {"proc-0": 2}  # the respawn recompiled
+
+
+def test_raising_shadow_observer_is_counted_never_served(front, wait_until):
+    class RaisingObserver:
+        spec_id = front.pool.current_spec_id
+
+        def sample(self):
+            return True
+
+        def observe(self, request, served, shadowed):
+            raise ValueError("observer bug")
+
+        observe_error = observe
+
+    payload = json.dumps(_request(suite=SuiteSpec(count=1, seed=77)).to_dict()).encode()
+    baseline = _post_raw(front.address, payload)
+    front.pool.set_shadow(RaisingObserver())
+    shadowed = _post_raw(front.address, payload)
+    assert shadowed[0] == 200
+    # the served answer is untouched (only its wall-clock fields may differ)
+    assert canonical_reports(json.loads(shadowed[2])) == canonical_reports(
+        json.loads(baseline[2])
+    )
+
+    def errors():
+        return fetch_json(front.url, "/metrics")["internal_errors"]
+
+    # the mirror lands after the served response; its observer then raises
+    assert wait_until(lambda: errors().get("shadow_observer") == 1)
+    front.pool.clear_shadow()
+    host, port = front.address
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        connection.request("GET", "/metrics?format=prometheus")
+        text = connection.getresponse().read().decode("utf-8")
+    finally:
+        connection.close()
+    assert 'repro_internal_errors_total{site="shadow_observer"} 1' in text

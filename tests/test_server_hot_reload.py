@@ -10,7 +10,7 @@ request).
 """
 
 from repro.engine.events import CollectingSink, SpecCompiled, SpecReloaded
-from repro.server.pool import WarmWorkerPool
+from repro.server.procpool import ProcessWorkerPool
 from repro.service.api import AnalyzeRequest, SuiteSpec, handle_request
 
 
@@ -23,19 +23,18 @@ def _flows(response):
 
 
 def test_hot_reload_under_load_drops_nothing(
-    tiny_store, tiny_atlas_result, library_program, interface, wait_until
+    tiny_store, tiny_atlas_result, library_program, wait_until
 ):
     sink = CollectingSink()
     expected = _flows(handle_request(_request(), tiny_store, library_program=library_program))
     old_spec_id = tiny_store.latest().spec_id
 
-    pool = WarmWorkerPool(
+    pool = ProcessWorkerPool(
         tiny_store,
-        workers=2,
+        processes=2,
         queue_depth=64,
         events=sink,
         library_program=library_program,
-        interface=interface,
     )
     with pool:
         startup_compiles = len(sink.of_type(SpecCompiled))
@@ -53,7 +52,7 @@ def test_hot_reload_under_load_drops_nothing(
         # second wave: submitted after the swap, still racing the first
         second_wave = [pool.submit(_request()) for _ in range(8)]
 
-        responses = [future.result(timeout=30) for future in first_wave + second_wave]
+        responses = [future.result(timeout=120) for future in first_wave + second_wave]
 
     # zero dropped, zero incorrect: every response holds the expected flows
     assert len(responses) == 16
@@ -78,15 +77,14 @@ def test_hot_reload_under_load_drops_nothing(
 
 
 def test_polling_thread_bumps_the_reload_counter(
-    tiny_store, tiny_atlas_result, library_program, interface, wait_until
+    tiny_store, tiny_atlas_result, library_program, wait_until
 ):
     sink = CollectingSink()
-    pool = WarmWorkerPool(
+    pool = ProcessWorkerPool(
         tiny_store,
-        workers=1,
+        processes=1,
         events=sink,
         library_program=library_program,
-        interface=interface,
     )
     with pool:
         pool.start_polling(0.05)

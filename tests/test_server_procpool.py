@@ -1,10 +1,9 @@
-"""The multi-process worker pool keeps every contract of the threaded pool.
+"""The multi-process worker pool's contract, across the fork boundary.
 
-Same answers (bit-identical to in-process ``handle_request``), same
-amortization story (one ``SpecCompiled`` per *process*, never per request),
-same backpressure (``PoolSaturated`` at the admission bound), same
-zero-downtime hot reload, and same after-the-fact shadow mirroring -- only
-the execution substrate changes from GIL-shared threads to forked processes.
+Answers bit-identical to in-process ``handle_request``, one ``SpecCompiled``
+per *process* (never per request), backpressure (``PoolSaturated`` at the
+admission bound), zero-downtime hot reload, and after-the-fact shadow
+mirroring observed back in the parent.
 """
 
 import threading
@@ -12,8 +11,7 @@ import threading
 import pytest
 
 from repro.engine.events import CollectingSink, SpecCompiled, SpecReloaded
-from repro.server.pool import PoolSaturated
-from repro.server.procpool import ProcessWorkerPool
+from repro.server.procpool import PoolSaturated, ProcessWorkerPool
 from repro.service.api import AnalyzeRequest, SuiteSpec, handle_request
 from repro.service.store import SpecNotFoundError, SpecStore
 
